@@ -13,6 +13,7 @@
 //	elsqbench -ckpt-speedup                           # warm-up-sharing wall-clock win
 //	elsqbench -smoke -batch 8                         # batched == scalar digests
 //	elsqbench -smoke -energy                          # pJ/inst + bank power-down columns
+//	elsqbench -smoke -cpuprofile cpu.pprof            # runtime/pprof profile of the run
 //
 // Regression semantics (see internal/bench): results digests and headline
 // metrics are deterministic and must match the baseline exactly on the
@@ -29,8 +30,11 @@ import (
 	"runtime/debug"
 
 	"repro/internal/bench"
+	"repro/internal/cliprof"
 	"repro/internal/config"
 )
+
+var cpuProf = cliprof.Flag()
 
 func main() {
 	smoke := flag.Bool("smoke", false, "run only the smoke-budget matrix (the per-PR CI gate)")
@@ -56,6 +60,10 @@ func main() {
 	energyCol := flag.Bool("energy", false, "print the energy columns (pJ/inst, FMC bank power-down fraction, energy digest) per point; the quantities are always measured and stored in the artifact")
 	energyTable := flag.String("energy-table", "", "energy coefficient table for every point (empty = base; see internal/energy)")
 	flag.Parse()
+	if err := cpuProf.Start(); err != nil {
+		fatalf("%v", err)
+	}
+	defer cpuProf.Stop()
 
 	if *gcPercent > 0 {
 		debug.SetGCPercent(*gcPercent)
@@ -154,6 +162,7 @@ func main() {
 			for _, r := range regs {
 				fmt.Fprintf(os.Stderr, "REGRESSION %s\n", r)
 			}
+			cpuProf.Stop()
 			os.Exit(1)
 		}
 		fmt.Println("no regressions against", *compare)
@@ -270,6 +279,7 @@ func runCkptSpeedup(benchName string) {
 }
 
 func fatalf(format string, args ...any) {
+	cpuProf.Stop()
 	fmt.Fprintf(os.Stderr, "elsqbench: "+format+"\n", args...)
 	os.Exit(1)
 }

@@ -8,6 +8,7 @@
 //	elsqsim -bench mcf -model fmc -lsq elsq -ert hash -sqm
 //	elsqsim -bench swim -model ooo -lsq conventional
 //	elsqsim -trace swim.elt -insts 30000 -warmup 400000
+//	elsqsim -bench swim -cpuprofile cpu.pprof
 //	elsqsim -list
 package main
 
@@ -16,12 +17,15 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/cliprof"
 	"repro/internal/config"
 	"repro/internal/simrun"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
+
+var cpuProf = cliprof.Flag()
 
 func main() {
 	bench := flag.String("bench", "swim", "benchmark name")
@@ -39,6 +43,10 @@ func main() {
 	tracePath := flag.String("trace", "", "drive the run from this recorded .elt trace (overrides -bench/-seed with the trace's identity)")
 	list := flag.Bool("list", false, "list benchmarks and exit")
 	flag.Parse()
+	if err := cpuProf.Start(); err != nil {
+		fatalf("%v", err)
+	}
+	defer cpuProf.Stop()
 
 	if *list {
 		for _, s := range []workload.Suite{workload.SuiteInt, workload.SuiteFP} {
@@ -136,6 +144,7 @@ func main() {
 }
 
 func fatalf(format string, args ...any) {
+	cpuProf.Stop()
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 	os.Exit(2)
 }

@@ -89,6 +89,23 @@ func goldenPoints() []sweep.Job {
 			c.Model = config.ModelOoO
 			c.LSQ = config.LSQSVW
 		}),
+		// SVW with the no-unresolved-store filter: the only consumer of
+		// StoreIndex.Unresolved. equake's late-resolving store addresses
+		// make the filter's input vary load to load.
+		mk("equake", 1, func(c *config.Config) {
+			c.LSQ = config.LSQSVW
+			c.SVW = config.SVWCheckStores
+		}),
+		mk("equake", 1, func(c *config.Config) {
+			c.Model = config.ModelOoO
+			c.LSQ = config.LSQSVW
+			c.SVW = config.SVWCheckStores
+		}),
+		mk("equake", 1, func(c *config.Config) { // one store dispatched per cycle
+			c.LSQ = config.LSQSVW
+			c.SVW = config.SVWCheckStores
+			c.FetchWidth = 1
+		}),
 	}
 }
 

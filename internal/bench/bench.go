@@ -85,18 +85,17 @@ func schemes() []scheme {
 	central.LSQ = config.LSQCentral
 	svw := config.Default()
 	svw.LSQ = config.LSQSVW
-	// Contended-fabric rows track the occupancy model's cost relative to
-	// the analytic rows above. They are new matrix points: absent from
+	// The contended-fabric row tracks the occupancy model's cost relative
+	// to the analytic rows above. It is a newer matrix point: absent from
 	// older baselines (Compare iterates the baseline's points, so adding
-	// them cannot fail an existing gate) and picked up on the next
-	// baseline regeneration.
+	// it cannot fail an existing gate) and picked up on the next baseline
+	// regeneration. A variant row "<parent>-<suffix>" must change results
+	// relative to its parent row, or it measures nothing the parent does
+	// not (TestVariantRowsDiffer).
 	contended := config.Default()
 	contended.NoC = config.NoCContended
-	contendedSteal := config.Default()
-	contendedSteal.NoC = config.NoCContended
-	contendedSteal.Place = config.PlaceSteal
 	// Classifier rows track the predictive HL/LL split policies
-	// (internal/predict) against the reactive default; like the fabric rows
+	// (internal/predict) against the reactive default; like the fabric row
 	// they are new matrix points absent from older baselines.
 	pred := config.Default()
 	pred.Class = config.ClassCacheLevel
@@ -108,7 +107,6 @@ func schemes() []scheme {
 		{"central", central},
 		{"svw", svw},
 		{"elsq-noc", contended},
-		{"elsq-noc-steal", contendedSteal},
 		{"elsq-pred", pred},
 		{"elsq-delay", delay},
 	}

@@ -16,11 +16,11 @@ import (
 func TestMatrixShape(t *testing.T) {
 	smoke := Matrix(true)
 	full := Matrix(false)
-	if len(smoke) != 16 {
-		t.Fatalf("smoke matrix has %d points, want 16", len(smoke))
+	if len(smoke) != 14 {
+		t.Fatalf("smoke matrix has %d points, want 14", len(smoke))
 	}
-	if len(full) != 20 {
-		t.Fatalf("full matrix has %d points, want 20", len(full))
+	if len(full) != 18 {
+		t.Fatalf("full matrix has %d points, want 18", len(full))
 	}
 	seen := map[string]bool{}
 	for _, p := range full {
@@ -367,5 +367,50 @@ func TestSmokeMatrixCertifiedByOracle(t *testing.T) {
 		if rep.Loads == 0 || rep.CheckedBytes == 0 {
 			t.Errorf("%s: oracle certified nothing (loads %d, bytes %d)", p.Name, rep.Loads, rep.CheckedBytes)
 		}
+	}
+}
+
+// TestVariantRowsDiffer runs every variant row ("<parent>-<suffix>") and its
+// parent row at a tiny budget and requires different results digests on
+// both suites: a variant whose configuration never changes the simulation
+// is a dead row that only duplicates its parent's measurement.
+func TestVariantRowsDiffer(t *testing.T) {
+	tiny := Budget{Name: "tiny", Measure: 2_000, Warmup: 10_000}
+	rows := map[string]scheme{}
+	for _, sc := range schemes() {
+		rows[sc.label] = sc
+	}
+	digests := map[string]string{}
+	digest := func(sc scheme, su workload.Suite) string {
+		key := sc.label + "/" + suiteLabel(su)
+		if d, ok := digests[key]; ok {
+			return d
+		}
+		pr, err := newPoint(sc, su, tiny).Run(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests[key] = pr.ResultsDigest
+		return pr.ResultsDigest
+	}
+	variants := 0
+	for _, sc := range schemes() {
+		i := strings.LastIndex(sc.label, "-")
+		if i < 0 {
+			continue
+		}
+		parent, ok := rows[sc.label[:i]]
+		if !ok {
+			continue
+		}
+		variants++
+		for _, su := range []workload.Suite{workload.SuiteInt, workload.SuiteFP} {
+			if digest(sc, su) == digest(parent, su) {
+				t.Errorf("%s/%s: results digest equals its parent %s's", sc.label, suiteLabel(su), parent.label)
+			}
+		}
+	}
+	if variants == 0 {
+		t.Fatal("no variant rows found")
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // batchMemOpPool is how many store MemOp records are pre-seeded into each
 // lane's StoreIndex recycling pool when the lane is built by NewBatch. The
-// steady-state store window is bounded by the compaction horizon to a few
+// steady-state store window is bounded by the retirement horizon to a few
 // thousand records, so this covers it and the per-store path never grows the
 // heap; a scalar New keeps the original grow-on-demand behaviour.
 const batchMemOpPool = 4096

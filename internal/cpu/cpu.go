@@ -198,7 +198,7 @@ type Sim struct {
 	// StoreIndex holds only stores, and schemes keep no op pointers), so
 	// one scratch value each makes the per-instruction path allocation-
 	// free. Store records come from the StoreIndex's recycling pool
-	// instead, because they stay searchable until compaction retires them.
+	// instead, because they stay searchable until the index retires them.
 	loadOp, wpOp lsq.MemOp
 
 	// Interned counter handles for per-instruction events.
@@ -299,13 +299,6 @@ func newSim(cfg config.Config, gen workload.Source, ar *laneArena) (*Sim, error)
 	default:
 		return nil, fmt.Errorf("cpu: unsupported scheme %v on %v", cfg.LSQ, cfg.Model)
 	}
-
-	// Unresolved-store tracking soundness: any store evicted from the
-	// StoreIndex's recent ring is at least ring-length/FetchWidth dispatch
-	// cycles older than a querying load's issue; a matching late-address
-	// slack keeps every possibly-unresolved store visible to Unresolved
-	// (the no-unresolved-store filter input).
-	s.storeIx.TuneLateSlack(cfg.FetchWidth)
 
 	s.fetchCal = ar.calendar(cfg.FetchWidth, hor)
 	s.cpIssueCal = ar.calendar(cfg.FetchWidth, hor)

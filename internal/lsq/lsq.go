@@ -71,9 +71,11 @@ type MemOp struct {
 	ReadAt int64
 
 	// blockNext chains stores of the same 8-byte block inside the
-	// StoreIndex, youngest first. Intrusive linking keeps the per-store
-	// path of the index allocation-free.
-	blockNext *MemOp
+	// StoreIndex, youngest first, and blockPrev points back toward the
+	// chain's head; fifoNext links the index's commit-order retirement
+	// FIFO, oldest first. Intrusive linking keeps the per-store path of
+	// the index allocation-free.
+	blockNext, blockPrev, fifoNext *MemOp
 }
 
 // InFlightAt reports whether the op still occupies its queue at cycle t.

@@ -12,55 +12,49 @@ package lsq
 // the query cycle, except CandidatesOracle, which the pipeline model uses to
 // detect true ordering violations.
 //
+// The pipeline model Adds each store at its commit, in program order, with
+// Commit already set, and every load it queries for is younger than every
+// indexed store (wrong-path loads carry isa.WrongPathSeqBit). Under that
+// contract Unresolved is O(1): an older store is unresolved at t exactly
+// when t < min(AddrReady, Commit), so the answer is a running maximum of
+// that bound over every store ever added. A query from a load not younger
+// than every indexed store falls back to an exact scan of the live window.
+//
 // The index owns the store records' storage: the pipeline model obtains each
-// store's MemOp from NewOp and the index recycles it once compaction retires
-// it, and stores of one block are chained intrusively through the records
-// (youngest first), so the steady-state per-store path performs no heap
-// allocation. Candidate query results are returned in scratch slices owned
-// by the index and are only valid until the next call of the same query.
+// store's MemOp from NewOp and the index recycles it once it retires, and
+// stores of one block are chained intrusively through the records (youngest
+// first), so the steady-state per-store path performs no heap allocation.
+// Candidate query results are returned in scratch slices owned by the index
+// and are only valid until the next call of the same query.
 type StoreIndex struct {
 	// buckets is a fixed open-hash table of intrusive store chains,
 	// youngest first, indexed by hashed 8-byte block. Blocks that collide
 	// share a chain and are told apart by the per-op block check in the
 	// queries — pure array writes on Add, no map machinery on the
 	// per-store path. The table is sized so the live window (bounded by
-	// the compaction horizon) keeps chains near length one.
+	// the retirement horizon) keeps chains near length one.
 	buckets []*MemOp
-	// lateAddr holds stores whose address resolves long after dispatch
-	// (the only ones that can be "unresolved" at a later load's issue,
-	// beyond the handful of just-dispatched stores tracked in recent).
-	lateAddr []*MemOp
-	// recent is a short ring of the youngest stores, whose addresses may
-	// not have resolved yet relative to a load issued immediately after.
-	// Soundness of Unresolved requires the ring and lateSlack to compose: a
-	// store evicted from the ring has at least len(recent) younger stores,
-	// so any load that could still query it dispatched at least
-	// len(recent)/FetchWidth cycles later and issued at least one cycle
-	// after that — by which point every store with AddrReady within
-	// Dispatch+lateSlack has resolved, provided lateSlack <=
-	// len(recent)/FetchWidth (TuneLateSlack derives it so).
-	recent [64]*MemOp
-	rpos   int
-	adds   uint64
-	// lateSlack is the dispatch-to-AddrReady margin below which a store is
-	// tracked only by the recent ring (see recent). Stores resolving later
-	// than Dispatch+lateSlack go to lateAddr.
-	lateSlack int64
-	// maxDispatch is the largest dispatch cycle ever Added. Dropped entries
-	// always dispatched (and committed) far behind it, so it equals the
-	// maximum over the live entries, without a scan.
+	// oldest and youngest delimit the live stores in Add (commit) order,
+	// linked through fifoNext. Each Add retires stores off the old end
+	// once their commit is a full horizon behind the youngest dispatch:
+	// queries run at most that far behind it, so a retired store could
+	// never again be in flight at a query time. The oldest live store is
+	// also the oldest — the tail — of its bucket chain, so unlinking it is
+	// O(1).
+	oldest, youngest *MemOp
+	// maxDispatch is the largest dispatch cycle ever Added.
 	maxDispatch int64
-	// lateMax is the largest AddrReady ever appended to lateAddr. When it
-	// is <= the query time no lateAddr entry can satisfy AddrReady > t, so
-	// Unresolved skips the scan entirely — the common case once a phase's
-	// address-producing misses drain.
-	lateMax int64
+	// maxSeq is the largest store sequence number ever Added; a load with
+	// a larger Seq is younger than every indexed store.
+	maxSeq uint64
+	// pendMax is the running maximum over every store ever Added of the
+	// cycle its in-flight, address-unknown interval ends: min(AddrReady,
+	// Commit), or AddrReady while Commit is unset.
+	pendMax int64
 
-	// freeOps recycles MemOps dropped by compact. Entries dropped by
-	// compact committed at least a full horizon (1<<14 cycles) before the
-	// youngest dispatch, so they are long out of every query window and —
-	// being far older than the 16-entry recent ring — cannot alias a live
-	// reference.
+	// freeOps recycles retired MemOps. A retired store committed a full
+	// horizon before the youngest dispatch, so it is long out of every
+	// query window and no pipeline reference to it remains.
 	freeOps []*MemOp
 
 	candScratch   []*MemOp
@@ -68,9 +62,13 @@ type StoreIndex struct {
 }
 
 // storeIndexBucketBits sizes the bucket table (1<<bits buckets). The
-// compaction horizon bounds live stores to a few thousand, so chains stay
+// retirement horizon bounds live stores to a few thousand, so chains stay
 // near length one.
 const storeIndexBucketBits = 14
+
+// retireHorizon is how far (in cycles) a store's commit must fall behind
+// the youngest dispatch before the index retires it.
+const retireHorizon = 1 << 14
 
 // NewStoreIndex returns an empty index.
 func NewStoreIndex() *StoreIndex {
@@ -90,10 +88,7 @@ func NewStoreIndexIn(buckets []*MemOp) *StoreIndex {
 	if len(buckets) != 1<<storeIndexBucketBits {
 		panic("lsq: store-index bucket backing size mismatch")
 	}
-	return &StoreIndex{
-		buckets:   buckets,
-		lateSlack: 8,
-	}
+	return &StoreIndex{buckets: buckets}
 }
 
 // SeedPool pre-populates the record-recycling pool with MemOps carved from
@@ -104,26 +99,6 @@ func (ix *StoreIndex) SeedPool(ops []MemOp) {
 	for i := range ops {
 		ix.freeOps = append(ix.freeOps, &ops[i])
 	}
-}
-
-// TuneLateSlack sizes the dispatch-to-AddrReady margin below which a store
-// is tracked only by the recent ring, for a pipeline fetching fetchWidth
-// instructions per cycle. Soundness of Unresolved requires slack <=
-// len(recent)/fetchWidth (see the recent field), which this derives from
-// the ring's actual length; the result is clamped to [1, 8] — 8 is the
-// precision sweet spot, lower values only grow lateAddr.
-func (ix *StoreIndex) TuneLateSlack(fetchWidth int) {
-	if fetchWidth < 1 {
-		fetchWidth = 1
-	}
-	slack := int64(len(ix.recent) / fetchWidth)
-	if slack < 1 {
-		slack = 1
-	}
-	if slack > 8 {
-		slack = 8
-	}
-	ix.lateSlack = slack
 }
 
 func blockOf(addr uint64) uint64 { return addr >> 3 }
@@ -154,72 +129,44 @@ func (ix *StoreIndex) Add(st *MemOp) {
 		panic("lsq: StoreIndex.Add of a load")
 	}
 	i := bucketOf(blockOf(st.Addr))
-	st.blockNext = ix.buckets[i]
+	st.blockNext, st.blockPrev, st.fifoNext = ix.buckets[i], nil, nil
+	if st.blockNext != nil {
+		st.blockNext.blockPrev = st
+	}
 	ix.buckets[i] = st
-	if st.Dispatch > ix.maxDispatch {
-		ix.maxDispatch = st.Dispatch
+	if ix.youngest == nil {
+		ix.oldest = st
+	} else {
+		ix.youngest.fifoNext = st
 	}
-	if st.AddrReady > st.Dispatch+ix.lateSlack {
-		ix.lateAddr = append(ix.lateAddr, st)
-		if st.AddrReady > ix.lateMax {
-			ix.lateMax = st.AddrReady
-		}
+	ix.youngest = st
+	ix.maxDispatch = max(ix.maxDispatch, st.Dispatch)
+	ix.maxSeq = max(ix.maxSeq, st.Seq)
+	pend := st.AddrReady
+	if st.Commit != 0 {
+		pend = min(pend, st.Commit)
 	}
-	ix.recent[ix.rpos] = st
-	ix.rpos = (ix.rpos + 1) % len(ix.recent)
-	ix.adds++
-	// Compact often enough that per-block chains stay short: the criterion
-	// is purely horizon-based, so a higher frequency only retires entries
-	// the moment they become eligible and never changes query results.
-	if ix.adds%1024 == 0 {
-		ix.compact()
-	}
+	ix.pendMax = max(ix.pendMax, pend)
+	ix.retire()
 }
 
-// compact drops long-committed entries so memory stays bounded by the
-// window size. An entry is dropped only when its commit is far behind the
-// youngest dispatch, so slightly out-of-order query times remain safe.
-func (ix *StoreIndex) compact() {
-	horizon := ix.maxDispatch - 1<<14
-	for i, head := range ix.buckets {
-		if head == nil {
-			continue
+// retire drops stores off the old end of the FIFO while their commit is a
+// full horizon behind the youngest dispatch. A store with Commit still
+// unset stops the walk: it, and everything younger, stays live.
+func (ix *StoreIndex) retire() {
+	horizon := ix.maxDispatch - retireHorizon
+	for st := ix.oldest; st != nil && st.Commit != 0 && st.Commit <= horizon; st = ix.oldest {
+		ix.oldest = st.fifoNext
+		if st.blockPrev == nil {
+			ix.buckets[bucketOf(blockOf(st.Addr))] = nil
+		} else {
+			st.blockPrev.blockNext = nil
 		}
-		var kept, tail *MemOp
-		for st := head; st != nil; {
-			next := st.blockNext
-			if st.Commit == 0 || st.Commit > horizon {
-				if tail == nil {
-					kept = st
-				} else {
-					tail.blockNext = st
-				}
-				tail = st
-				st.blockNext = nil
-			} else {
-				st.blockNext = nil
-				ix.freeOps = append(ix.freeOps, st)
-			}
-			st = next
-		}
-		ix.buckets[i] = kept
+		ix.freeOps = append(ix.freeOps, st)
 	}
-	// A late-address store stays relevant to Unresolved only while its
-	// address could still be unknown at a feasible query time: queries run
-	// at most a horizon behind the youngest dispatch, so once AddrReady
-	// falls behind the horizon the entry can never report true again and
-	// the per-load scan stays short.
-	keptLate := ix.lateAddr[:0]
-	ix.lateMax = 0
-	for _, st := range ix.lateAddr {
-		if (st.Commit == 0 || st.Commit > horizon) && st.AddrReady > horizon {
-			keptLate = append(keptLate, st)
-			if st.AddrReady > ix.lateMax {
-				ix.lateMax = st.AddrReady
-			}
-		}
+	if ix.oldest == nil {
+		ix.youngest = nil
 	}
-	ix.lateAddr = keptLate
 }
 
 // Candidates returns the older stores overlapping ld that are in flight at
@@ -265,17 +212,15 @@ func (ix *StoreIndex) CandidatesOracle(ld *MemOp, t int64) []*MemOp {
 }
 
 // Unresolved reports whether any store older than ld and in flight at t had
-// an unknown address at t (the no-unresolved-store-filter input).
+// an unknown address at t (the no-unresolved-store-filter input). For a load
+// younger than every indexed store it is O(1) and exact over every store
+// ever added; otherwise it scans the live window.
 func (ix *StoreIndex) Unresolved(ld *MemOp, t int64) bool {
-	if ix.lateMax > t {
-		for _, st := range ix.lateAddr {
-			if st.Seq < ld.Seq && st.InFlightAt(t) && st.AddrReady > t {
-				return true
-			}
-		}
+	if ld.Seq > ix.maxSeq {
+		return ix.pendMax > t
 	}
-	for _, st := range ix.recent {
-		if st != nil && st.Seq < ld.Seq && st.InFlightAt(t) && st.AddrReady > t {
+	for st := ix.oldest; st != nil; st = st.fifoNext {
+		if st.Seq < ld.Seq && st.InFlightAt(t) && st.AddrReady > t {
 			return true
 		}
 	}

@@ -45,10 +45,6 @@ func conservationSchemes() []struct {
 		{"central", mk(func(c *config.Config) { c.LSQ = config.LSQCentral })},
 		{"svw", mk(func(c *config.Config) { c.LSQ = config.LSQSVW })},
 		{"elsq-noc", mk(func(c *config.Config) { c.NoC = config.NoCContended })},
-		{"elsq-noc-steal", mk(func(c *config.Config) {
-			c.NoC = config.NoCContended
-			c.Place = config.PlaceSteal
-		})},
 	}
 }
 
