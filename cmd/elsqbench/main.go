@@ -14,6 +14,7 @@
 //	elsqbench -smoke -batch 8                         # batched == scalar digests
 //	elsqbench -smoke -energy                          # pJ/inst + bank power-down columns
 //	elsqbench -smoke -cpuprofile cpu.pprof            # runtime/pprof profile of the run
+//	elsqbench -smoke -memprofile mem.pprof            # allocation profile of the run
 //
 // Regression semantics (see internal/bench): results digests and headline
 // metrics are deterministic and must match the baseline exactly on the
@@ -34,7 +35,7 @@ import (
 	"repro/internal/config"
 )
 
-var cpuProf = cliprof.Flag()
+var prof = cliprof.Flags()
 
 func main() {
 	smoke := flag.Bool("smoke", false, "run only the smoke-budget matrix (the per-PR CI gate)")
@@ -60,10 +61,10 @@ func main() {
 	energyCol := flag.Bool("energy", false, "print the energy columns (pJ/inst, FMC bank power-down fraction, energy digest) per point; the quantities are always measured and stored in the artifact")
 	energyTable := flag.String("energy-table", "", "energy coefficient table for every point (empty = base; see internal/energy)")
 	flag.Parse()
-	if err := cpuProf.Start(); err != nil {
+	if err := prof.Start(); err != nil {
 		fatalf("%v", err)
 	}
-	defer cpuProf.Stop()
+	defer prof.Stop()
 
 	if *gcPercent > 0 {
 		debug.SetGCPercent(*gcPercent)
@@ -162,7 +163,7 @@ func main() {
 			for _, r := range regs {
 				fmt.Fprintf(os.Stderr, "REGRESSION %s\n", r)
 			}
-			cpuProf.Stop()
+			prof.Stop()
 			os.Exit(1)
 		}
 		fmt.Println("no regressions against", *compare)
@@ -279,7 +280,7 @@ func runCkptSpeedup(benchName string) {
 }
 
 func fatalf(format string, args ...any) {
-	cpuProf.Stop()
+	prof.Stop()
 	fmt.Fprintf(os.Stderr, "elsqbench: "+format+"\n", args...)
 	os.Exit(1)
 }

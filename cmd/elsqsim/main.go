@@ -8,7 +8,7 @@
 //	elsqsim -bench mcf -model fmc -lsq elsq -ert hash -sqm
 //	elsqsim -bench swim -model ooo -lsq conventional
 //	elsqsim -trace swim.elt -insts 30000 -warmup 400000
-//	elsqsim -bench swim -cpuprofile cpu.pprof
+//	elsqsim -bench swim -cpuprofile cpu.pprof -memprofile mem.pprof
 //	elsqsim -list
 package main
 
@@ -25,7 +25,7 @@ import (
 	"repro/internal/workload"
 )
 
-var cpuProf = cliprof.Flag()
+var prof = cliprof.Flags()
 
 func main() {
 	bench := flag.String("bench", "swim", "benchmark name")
@@ -43,10 +43,10 @@ func main() {
 	tracePath := flag.String("trace", "", "drive the run from this recorded .elt trace (overrides -bench/-seed with the trace's identity)")
 	list := flag.Bool("list", false, "list benchmarks and exit")
 	flag.Parse()
-	if err := cpuProf.Start(); err != nil {
+	if err := prof.Start(); err != nil {
 		fatalf("%v", err)
 	}
-	defer cpuProf.Stop()
+	defer prof.Stop()
 
 	if *list {
 		for _, s := range []workload.Suite{workload.SuiteInt, workload.SuiteFP} {
@@ -144,7 +144,7 @@ func main() {
 }
 
 func fatalf(format string, args ...any) {
-	cpuProf.Stop()
+	prof.Stop()
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 	os.Exit(2)
 }

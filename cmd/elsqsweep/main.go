@@ -12,6 +12,7 @@
 //	elsqsweep -axis ert=line,hash -ckptdir .ckpt -sample-intervals 4 \
 //	          -sample-bleed 50000 -suites fp -out sampled.json
 //	elsqsweep -fields          # list sweepable config fields
+//	elsqsweep -axis ert=line,hash -benches mcf -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Repeating a run with -cachedir (or re-running overlapping grids) serves
 // completed simulations from the cache; the summary line reports the hit
@@ -49,11 +50,14 @@ import (
 	"time"
 
 	"repro/internal/ckpt"
+	"repro/internal/cliprof"
 	"repro/internal/config"
 	"repro/internal/fleet"
 	"repro/internal/sweep"
 	"repro/internal/trace"
 )
+
+var prof = cliprof.Flags()
 
 func main() {
 	var axes axisFlags
@@ -78,6 +82,10 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress per-job progress lines")
 	fields := flag.Bool("fields", false, "list sweepable config fields and exit")
 	flag.Parse()
+	if err := prof.Start(); err != nil {
+		fatalf("%v", err)
+	}
+	defer prof.Stop()
 
 	if *fields {
 		for _, f := range config.Fields() {
@@ -289,6 +297,7 @@ func (a *axisFlags) Set(s string) error {
 }
 
 func fatalf(format string, args ...any) {
+	prof.Stop()
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 	os.Exit(2)
 }

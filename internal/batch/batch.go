@@ -51,7 +51,8 @@ type Spec struct {
 // Run builds one simulator per spec with shared slab state and drives all
 // lanes to completion in lockstep. Results are indexed like specs. A nil
 // ctx disables cancellation; on cancellation Run returns ctx's error and no
-// results.
+// results. The slabs go back to cpu.NewBatch's pool once every lane has
+// finished; an aborted batch leaves them to the collector.
 func Run(ctx context.Context, specs []Spec) ([]*cpu.Result, error) {
 	cfgs := make([]config.Config, len(specs))
 	gens := make([]workload.Source, len(specs))
@@ -59,7 +60,7 @@ func Run(ctx context.Context, specs []Spec) ([]*cpu.Result, error) {
 		cfgs[i] = specs[i].Config
 		gens[i] = specs[i].Source
 	}
-	sims, err := cpu.NewBatch(cfgs, gens)
+	sims, release, err := cpu.NewBatch(cfgs, gens)
 	if err != nil {
 		return nil, err
 	}
@@ -110,6 +111,7 @@ func Run(ctx context.Context, specs []Spec) ([]*cpu.Result, error) {
 		}
 		live = next
 	}
+	release()
 	return results, nil
 }
 

@@ -1,7 +1,6 @@
 package ckpt
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -52,10 +51,16 @@ func (s *MemStore) Len() int {
 	return len(s.m)
 }
 
-const diskSuffix = ".ckpt.json"
+// diskSuffix names a snapshot file; legacySuffix named the all-JSON files
+// of earlier builds, which open-time cleanup deletes.
+const (
+	diskSuffix   = ".ckpt"
+	legacySuffix = ".ckpt.json"
+)
 
-// DiskStore persists snapshots as one JSON file per key, so checkpoint
-// builds amortise across processes (cmd/elsqsweep -ckptdir, cmd/elsqckpt).
+// DiskStore persists snapshots as one file per key in the Encode format, so
+// checkpoint builds amortise across processes (cmd/elsqsweep -ckptdir,
+// cmd/elsqckpt).
 // Snapshots are dominated by the L2 image (~1 MiB at Table 1 geometry), so
 // the store enforces a total-size budget: after each write, oldest entries
 // (by modification time) are pruned until the store fits MaxBytes.
@@ -74,38 +79,43 @@ type DiskStore struct {
 const staleTempAge = time.Hour
 
 // NewDiskStore opens (creating if needed) a disk store rooted at dir with
-// the given size budget (<= 0 for unbounded). Temp files orphaned by
-// crashed writers are swept on open — they carry no ".ckpt.json" suffix, so
-// the size budget would otherwise never see or prune them.
+// the given size budget (<= 0 for unbounded). Files the size budget would
+// never see or prune are swept on open: temp files orphaned by crashed
+// writers, and legacy ".ckpt.json" snapshots, which this build reads as
+// misses.
 func NewDiskStore(dir string, maxBytes int64) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ckpt: store dir: %w", err)
 	}
 	s := &DiskStore{dir: dir, MaxBytes: maxBytes}
-	s.sweepStaleTemps()
+	s.sweepStale()
 	return s, nil
 }
 
-// sweepStaleTemps removes Put temp files old enough that their writer must
-// be dead. Errors are ignored: cleanup is best-effort by the Store contract.
-func (s *DiskStore) sweepStaleTemps() {
+// sweepStale removes legacy snapshot files, and Put temp files old enough
+// that their writer must be dead. Errors are ignored: cleanup is
+// best-effort by the Store contract.
+func (s *DiskStore) sweepStale() {
 	des, err := os.ReadDir(s.dir)
 	if err != nil {
 		return
 	}
 	cutoff := time.Now().Add(-staleTempAge)
 	for _, de := range des {
-		if !strings.Contains(de.Name(), ".tmp-") || strings.HasSuffix(de.Name(), diskSuffix) {
-			continue
+		name := de.Name()
+		stale := strings.HasSuffix(name, legacySuffix)
+		if !stale && strings.Contains(name, ".tmp-") && !strings.HasSuffix(name, diskSuffix) {
+			info, err := de.Info()
+			stale = err == nil && info.ModTime().Before(cutoff)
 		}
-		if info, err := de.Info(); err == nil && info.ModTime().Before(cutoff) {
-			os.Remove(filepath.Join(s.dir, de.Name()))
+		if stale {
+			os.Remove(filepath.Join(s.dir, name))
 		}
 	}
 }
 
 // Has reports whether a snapshot file exists for key without reading it —
-// a cheap existence probe (Get decodes the full ~MiB image).
+// a cheap existence probe (Get reads the full ~MiB image).
 func (s *DiskStore) Has(key string) bool {
 	info, err := os.Stat(s.path(key))
 	return err == nil && info.Mode().IsRegular()
@@ -119,27 +129,25 @@ func (s *DiskStore) path(key string) string {
 }
 
 // Get implements Store. Corrupt, truncated or stale-format entries are
-// treated as misses.
+// treated as misses. The snapshot's line images alias the file buffer Get
+// read, which nothing else holds.
 func (s *DiskStore) Get(key string) (*Snapshot, bool) {
 	b, err := os.ReadFile(s.path(key))
 	if err != nil {
 		return nil, false
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(b, &snap); err != nil {
+	snap, err := Decode(b)
+	if err != nil || snap.Version != FormatVersion || snap.Key != key {
 		return nil, false
 	}
-	if snap.Version != FormatVersion || snap.Key != key || snap.Source == nil || snap.Hier == nil {
-		return nil, false
-	}
-	return &snap, true
+	return snap, true
 }
 
 // Put implements Store. The write is atomic (temp file + rename) so a
 // concurrent reader never observes a partial snapshot; afterwards the size
 // budget is enforced.
 func (s *DiskStore) Put(snap *Snapshot) {
-	b, err := json.Marshal(snap)
+	b, err := Encode(snap)
 	if err != nil {
 		return
 	}

@@ -1,36 +1,39 @@
-// Package cliprof gives the command-line tools a shared -cpuprofile flag: a
-// runtime/pprof CPU profile of the whole run, and no cost at all when the
-// flag is unset.
+// Package cliprof gives the command-line tools shared -cpuprofile and
+// -memprofile flags: a runtime/pprof CPU profile of the whole run and an
+// allocation profile written at its end, and no cost at all when the flags
+// are unset.
 package cliprof
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"runtime/pprof"
 )
 
-// CPU is a CPU profile requested on the command line.
-type CPU struct {
-	path string
-	f    *os.File
+// Profiles are the profiles requested on the command line.
+type Profiles struct {
+	cpuPath, memPath string
+	f                *os.File
 }
 
-// Flag registers -cpuprofile on the default flag set and returns its
-// profile; call it before flag.Parse.
-func Flag() *CPU {
-	c := &CPU{}
-	flag.StringVar(&c.path, "cpuprofile", "", "write a runtime/pprof CPU profile of the run to this file")
-	return c
+// Flags registers -cpuprofile and -memprofile on the default flag set and
+// returns their profiles; call it before flag.Parse.
+func Flags() *Profiles {
+	p := &Profiles{}
+	flag.StringVar(&p.cpuPath, "cpuprofile", "", "write a runtime/pprof CPU profile of the run to this file")
+	flag.StringVar(&p.memPath, "memprofile", "", "write a runtime/pprof allocation profile of the run to this file")
+	return p
 }
 
-// Start begins profiling when -cpuprofile was set and does nothing
+// Start begins CPU profiling when -cpuprofile was set and does nothing
 // otherwise.
-func (c *CPU) Start() error {
-	if c.path == "" {
+func (p *Profiles) Start() error {
+	if p.cpuPath == "" {
 		return nil
 	}
-	f, err := os.Create(c.path)
+	f, err := os.Create(p.cpuPath)
 	if err != nil {
 		return fmt.Errorf("cpuprofile: %w", err)
 	}
@@ -38,20 +41,40 @@ func (c *CPU) Start() error {
 		f.Close()
 		return fmt.Errorf("cpuprofile: %w", err)
 	}
-	c.f = f
+	p.f = f
 	return nil
 }
 
-// Stop flushes and closes a running profile, reporting a failed close on
-// standard error. It is a no-op when none is running, so every exit path
-// may call it.
-func (c *CPU) Stop() {
-	if c.f == nil {
-		return
+// Stop flushes and closes a running CPU profile and, when -memprofile was
+// set, writes the allocation profile, reporting failures on standard
+// error. Only the first call does anything, so every exit path may call it.
+func (p *Profiles) Stop() {
+	if p.f != nil {
+		pprof.StopCPUProfile()
+		if err := p.f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+		}
+		p.f = nil
 	}
-	pprof.StopCPUProfile()
-	if err := c.f.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+	if p.memPath != "" {
+		if err := writeAllocs(p.memPath); err != nil {
+			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+		}
+		p.memPath = ""
 	}
-	c.f = nil
+}
+
+// writeAllocs writes the allocation profile the way go test -memprofile
+// does: after a collection, so the in-use figures are current.
+func writeAllocs(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	werr := pprof.Lookup("allocs").WriteTo(f, 0)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	return werr
 }

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/config"
 	"repro/internal/lsq"
@@ -30,6 +31,24 @@ type laneArena struct {
 	ptr   []*lsq.MemOp
 	ops   []lsq.MemOp
 	lines *mem.LineArena
+}
+
+// slabPool recycles the slabs of finished batches, each as a *laneArena
+// spanning them in full, so a sweep running many lane groups allocates
+// (and page-faults) its lane state once per concurrent batch instead of
+// once per group. Every reuse is resliced and cleared, so a lane built on
+// recycled slabs is byte-identical to one built on fresh memory.
+var slabPool sync.Pool
+
+// fit returns n zeroed elements, reusing s's backing array when it is
+// large enough.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func (a *laneArena) takeU64(n int) []uint64 {
@@ -111,20 +130,25 @@ func (a *laneArena) storeIndex() *lsq.StoreIndex {
 // must be the same non-zero length. Each returned Sim is bit-identical in
 // behaviour to New(cfgs[i], gens[i]) — only the placement of its backing
 // arrays differs.
-func NewBatch(cfgs []config.Config, gens []workload.Source) ([]*Sim, error) {
+//
+// The slabs come from a pool shared by all batches. Once every lane has
+// finished and its Result has been taken, the caller calls release to hand
+// them back; no Sim of the batch may be used after that. A caller that
+// abandons a batch may skip release and leave the slabs to the collector.
+func NewBatch(cfgs []config.Config, gens []workload.Source) (sims []*Sim, release func(), err error) {
 	if len(cfgs) == 0 || len(cfgs) != len(gens) {
-		return nil, fmt.Errorf("cpu: batch wants equal non-zero config and source counts, got %d and %d", len(cfgs), len(gens))
+		return nil, nil, fmt.Errorf("cpu: batch wants equal non-zero config and source counts, got %d and %d", len(cfgs), len(gens))
 	}
 	// Validate everything before sizing so the slab pass can trust the
 	// geometry (Lines(), WindowSize() etc. assume a valid config).
 	for i := range cfgs {
 		if err := cfgs[i].Validate(); err != nil {
-			return nil, fmt.Errorf("cpu: batch lane %d: %w", i, err)
+			return nil, nil, fmt.Errorf("cpu: batch lane %d: %w", i, err)
 		}
 	}
 	var nu64, ni64, nptr, nops, nlines int
 	for i := range cfgs {
-		nu64 += (numCalendars + fabricCalendars(&cfgs[i])) * sched.CalendarSlots(calHorizonFor(&cfgs[i]))
+		nu64 += calendarsFor(&cfgs[i]) * sched.CalendarSlots(calHorizonFor(&cfgs[i]))
 		nu64 += predict.TableWords(&cfgs[i])
 		for _, c := range ringCapsFor(&cfgs[i]) {
 			if c > 0 {
@@ -135,20 +159,24 @@ func NewBatch(cfgs []config.Config, gens []workload.Source) ([]*Sim, error) {
 		nops += batchMemOpPool
 		nlines += mem.HierarchyLines(&cfgs[i])
 	}
-	ar := &laneArena{
-		u64:   make([]uint64, nu64),
-		i64:   make([]int64, ni64),
-		ptr:   make([]*lsq.MemOp, nptr),
-		ops:   make([]lsq.MemOp, nops),
-		lines: mem.NewLineArena(nlines),
+	full, _ := slabPool.Get().(*laneArena)
+	if full == nil {
+		full = &laneArena{lines: new(mem.LineArena)}
 	}
-	sims := make([]*Sim, len(cfgs))
+	full.u64 = fit(full.u64, nu64)
+	full.i64 = fit(full.i64, ni64)
+	full.ptr = fit(full.ptr, nptr)
+	full.ops = fit(full.ops, nops)
+	full.lines.Reset(nlines)
+	ar := *full // carving advances this copy; full keeps spanning the slabs
+	sims = make([]*Sim, len(cfgs))
 	for i := range cfgs {
-		s, err := newSim(cfgs[i], gens[i], ar)
+		s, err := newSim(cfgs[i], gens[i], &ar)
 		if err != nil {
-			return nil, fmt.Errorf("cpu: batch lane %d: %w", i, err)
+			slabPool.Put(full)
+			return nil, nil, fmt.Errorf("cpu: batch lane %d: %w", i, err)
 		}
 		sims[i] = s
 	}
-	return sims, nil
+	return sims, func() { slabPool.Put(full) }, nil
 }

@@ -61,14 +61,19 @@ func meshDims(numEpochs int) (w, h int) {
 	return numEpochs, 1
 }
 
-// fabricCalendars returns how many arena-carved reservation calendars the
-// lane's interconnect fabric needs (0 for the analytic model).
-func fabricCalendars(cfg *config.Config) int {
-	if cfg.NoC != config.NoCContended {
-		return 0
+// calendarsFor returns how many arena-carved calendars newSim builds for
+// cfg: the pipeline's numCalendars, one issue calendar per memory engine
+// under the FMC model, and a contended fabric's link and bus calendars.
+func calendarsFor(cfg *config.Config) int {
+	n := numCalendars
+	if cfg.Model == config.ModelFMC {
+		n += cfg.NumEpochs
 	}
-	w, h := meshDims(cfg.NumEpochs)
-	return noc.ContendedCalendars(w, h)
+	if cfg.NoC == config.NoCContended {
+		w, h := meshDims(cfg.NumEpochs)
+		n += noc.ContendedCalendars(w, h)
+	}
+	return n
 }
 
 // Result carries everything an experiment reads out of one simulation.
@@ -218,9 +223,9 @@ func New(cfg config.Config, gen workload.Source) (*Sim, error) {
 
 // newSim is the shared constructor behind New and NewBatch: with a nil
 // arena every structure is allocated privately (the scalar path); with an
-// arena the hot arrays — calendar slots, ring times, cache lines, the
-// StoreIndex bucket table and its MemOp pool — are carved from the batch's
-// shared slabs.
+// arena the hot arrays — calendar slots (pipeline, memory-engine and
+// fabric), ring times, cache lines, the StoreIndex bucket table and its
+// MemOp pool — are carved from the batch's shared slabs.
 func newSim(cfg config.Config, gen workload.Source, ar *laneArena) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -261,9 +266,9 @@ func newSim(cfg config.Config, gen workload.Source, ar *laneArena) (*Sim, error)
 	// arena like the pipeline calendars below.
 	w, h := meshDims(cfg.NumEpochs)
 	hor := calHorizonFor(&cfg)
+	cal := func(width int) *sched.Calendar { return ar.calendar(width, hor) }
 	if cfg.NoC == config.NoCContended {
-		s.fab = noc.NewContended(w, h, cfg.MeshHop, cfg.BusOneWay, cfg.NoCLinkWidth,
-			func(width int) *sched.Calendar { return ar.calendar(width, hor) })
+		s.fab = noc.NewContended(w, h, cfg.MeshHop, cfg.BusOneWay, cfg.NoCLinkWidth, cal)
 	} else {
 		s.fab = noc.NewAnalytic(noc.NewBus(cfg.BusOneWay), noc.NewMesh(w, h, cfg.MeshHop))
 	}
@@ -271,7 +276,7 @@ func newSim(cfg config.Config, gen workload.Source, ar *laneArena) (*Sim, error)
 	// The epoch manager must exist before the scheme: the ELSQ resolves
 	// virtual epochs to banks through the manager's placement record.
 	if cfg.Model == config.ModelFMC {
-		s.epochs = fmc.NewEpochs(&cfg, fmc.PlacerFor(&cfg, s.fab), s.fab, hor)
+		s.epochs = fmc.NewEpochs(&cfg, fmc.PlacerFor(&cfg, s.fab), s.fab, cal)
 		s.wrongPathCap = 3 * cfg.ROBSize
 	} else {
 		s.wrongPathCap = cfg.ROBSize
@@ -331,7 +336,7 @@ const (
 )
 
 // numCalendars is how many pipeline resource calendars newSim builds per
-// lane; a contended fabric adds fabricCalendars(cfg) more on top.
+// lane; calendarsFor adds the engine and fabric calendars on top.
 const numCalendars = 6
 
 // ringCapsFor returns every occupancy ring's capacity under cfg, in

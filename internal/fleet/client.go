@@ -437,16 +437,16 @@ func (rs *RemoteCkpts) Get(key string) (*ckpt.Snapshot, bool) {
 	if err != nil {
 		return nil, false
 	}
-	var snap ckpt.Snapshot
-	if json.Unmarshal(b, &snap) != nil || snap.Key != key || snap.Source == nil || snap.Hier == nil {
+	snap, err := ckpt.Decode(b)
+	if err != nil || snap.Key != key {
 		return nil, false
 	}
-	return &snap, true
+	return snap, true
 }
 
 // Put implements ckpt.Store.
 func (rs *RemoteCkpts) Put(snap *ckpt.Snapshot) {
-	b, err := json.Marshal(snap)
+	b, err := ckpt.Encode(snap)
 	if err != nil {
 		return
 	}

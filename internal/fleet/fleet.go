@@ -54,7 +54,8 @@ const DigestHeader = "X-Elsq-Sha256"
 const (
 	// SpaceResult holds simulation results, JSON-encoded, by sweep job key.
 	SpaceResult = "result"
-	// SpaceCkpt holds warm-up checkpoints, JSON-encoded, by ckpt.Key.
+	// SpaceCkpt holds warm-up checkpoints in ckpt's binary encoding
+	// (ckpt.Encode), by ckpt.Key.
 	SpaceCkpt = "ckpt"
 	// SpaceTrace holds raw .elt files by trace content digest.
 	SpaceTrace = "trace"

@@ -331,7 +331,7 @@ func (s *Server) handleBlobGet(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "no checkpoint "+key, http.StatusNotFound)
 			return
 		}
-		b, err := json.Marshal(snap)
+		b, err := ckpt.Encode(snap)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -383,8 +383,8 @@ func (s *Server) handleBlobPut(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "checkpoint space disabled", http.StatusNotFound)
 			return
 		}
-		var snap ckpt.Snapshot
-		if err := json.Unmarshal(body, &snap); err != nil {
+		snap, err := ckpt.Decode(body)
+		if err != nil {
 			httpErr(w, fmt.Errorf("decoding checkpoint: %w", err))
 			return
 		}
@@ -394,7 +394,7 @@ func (s *Server) handleBlobPut(w http.ResponseWriter, r *http.Request) {
 			httpErr(w, fmt.Errorf("checkpoint identifies as %s, uploaded under %s", snap.Key, key))
 			return
 		}
-		store.Put(&snap)
+		store.Put(snap)
 	case SpaceTrace:
 		store := s.co.Traces()
 		if store == nil {

@@ -101,14 +101,15 @@ type Epochs struct {
 // NewEpochs builds the epoch manager for the configuration. placer picks
 // each opening epoch's bank (nil = the default mod-N interleaving) and fab
 // charges epoch-state migration when the pick is off the home bank (nil =
-// free moves). horizon bounds each engine calendar's reservation spread;
-// values <= 0 use the default 1<<14.
-func NewEpochs(cfg *config.Config, placer Placer, fab noc.Fabric, horizon int) *Epochs {
+// free moves). alloc builds each engine's issue calendar — the batch engine
+// passes an arena-backed allocator; nil allocates privately at a 1<<14
+// horizon.
+func NewEpochs(cfg *config.Config, placer Placer, fab noc.Fabric, alloc func(width int) *sched.Calendar) *Epochs {
 	if placer == nil {
 		placer = ModN{}
 	}
-	if horizon <= 0 {
-		horizon = 1 << 14
+	if alloc == nil {
+		alloc = func(width int) *sched.Calendar { return sched.NewCalendar(width, 1<<14) }
 	}
 	ring := 64
 	for ring < 8*cfg.NumEpochs {
@@ -129,7 +130,7 @@ func NewEpochs(cfg *config.Config, placer Placer, fab noc.Fabric, horizon int) *
 		lastReleased: -1,
 	}
 	for i := range e.cal {
-		e.cal[i] = sched.NewCalendar(cfg.MEIssueWidth, horizon)
+		e.cal[i] = alloc(cfg.MEIssueWidth)
 	}
 	for i := range e.vOf {
 		e.vOf[i] = -1

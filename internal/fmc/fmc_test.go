@@ -9,7 +9,7 @@ import (
 func newEpochs(t *testing.T) *Epochs {
 	t.Helper()
 	cfg := config.Default()
-	return NewEpochs(&cfg, nil, nil, 0)
+	return NewEpochs(&cfg, nil, nil, nil)
 }
 
 func TestAssignFillsEpochByExecBudget(t *testing.T) {
@@ -69,7 +69,7 @@ func TestBankReuseWaitsForCommit(t *testing.T) {
 	cfg := config.Default()
 	cfg.NumEpochs = 2
 	cfg.EpochMaxInsts = 1
-	e := NewEpochs(&cfg, nil, nil, 0)
+	e := NewEpochs(&cfg, nil, nil, nil)
 	// Epoch 0: one inst, committed at t=1000.
 	v0, _, _ := e.Assign(true, false, false, 1, 0)
 	e.Committed(v0, 1, 1000)
@@ -104,7 +104,7 @@ func TestIssueWidth(t *testing.T) {
 func TestActiveCycleAccounting(t *testing.T) {
 	cfg := config.Default()
 	cfg.EpochMaxInsts = 2
-	e := NewEpochs(&cfg, nil, nil, 0)
+	e := NewEpochs(&cfg, nil, nil, nil)
 	v, enter, _ := e.Assign(true, false, false, 1, 10)
 	if enter != 10 {
 		t.Fatalf("enter = %d", enter)

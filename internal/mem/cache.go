@@ -58,16 +58,25 @@ func NewCache(cfg config.CacheConfig) *Cache {
 // LineArena is a contiguous pool of cache-line bookkeeping records shared
 // by several caches: the batch engine carves every lane's L1 and L2 line
 // arrays from one arena so same-geometry lanes sit adjacent in host
-// memory. An arena must be sized with HierarchyLines (or cfg.Lines() per
-// cache) before construction; Take-ing past the end panics.
+// memory. An arena must be sized with Reset — to HierarchyLines per lane,
+// or cfg.Lines() per cache — before construction; carving past the end
+// panics. The zero LineArena is empty.
 type LineArena struct {
 	lines []line
 	off   int
 }
 
-// NewLineArena allocates an arena holding n line records.
-func NewLineArena(n int) *LineArena {
-	return &LineArena{lines: make([]line, n)}
+// Reset empties the arena and sizes it to n zeroed line records, reusing
+// its storage when that is large enough, so one arena can back successive
+// batches. Caches carved before a Reset must no longer be used.
+func (a *LineArena) Reset(n int) {
+	if cap(a.lines) < n {
+		a.lines = make([]line, n)
+	} else {
+		a.lines = a.lines[:n]
+		clear(a.lines)
+	}
+	a.off = 0
 }
 
 // take carves n zeroed line records off the arena.
@@ -90,9 +99,11 @@ func NewCacheIn(cfg config.CacheConfig, arena *LineArena) *Cache {
 	if cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		panic(fmt.Sprintf("mem: line size %d must be a power of two", cfg.LineBytes))
 	}
-	lines := make([]line, nsets*cfg.Ways)
+	var lines []line
 	if arena != nil {
 		lines = arena.take(nsets * cfg.Ways)
+	} else {
+		lines = make([]line, nsets*cfg.Ways)
 	}
 	setShift := uint(bits.TrailingZeros(uint(cfg.LineBytes)))
 	return &Cache{

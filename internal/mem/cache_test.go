@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -230,4 +231,42 @@ func TestNewCachePanicsOnBadGeometry(t *testing.T) {
 		}
 	}()
 	NewCache(config.CacheConfig{SizeBytes: 96, Ways: 1, LineBytes: 32})
+}
+
+// cacheSink keeps constructed caches on the heap, so allocation counts see
+// the same escapes production code does.
+var cacheSink *Cache
+
+// TestCacheInArenaAllocatesNoLines pins that a cache carved from an arena
+// allocates only its header: no private line array is built and discarded.
+func TestCacheInArenaAllocatesNoLines(t *testing.T) {
+	cfg := config.Default().L2
+	var arena LineArena
+	carved := testing.AllocsPerRun(10, func() {
+		arena.Reset(cfg.Lines())
+		cacheSink = NewCacheIn(cfg, &arena)
+	})
+	private := testing.AllocsPerRun(10, func() { cacheSink = NewCacheIn(cfg, nil) })
+	if carved != private-1 {
+		t.Errorf("arena-carved cache makes %.0f allocations, private one %.0f; want exactly one fewer (the line array)",
+			carved, private)
+	}
+}
+
+// TestLineArenaResetZeroes checks that a reused arena hands out lines
+// indistinguishable from fresh ones.
+func TestLineArenaResetZeroes(t *testing.T) {
+	cfg := config.Default().L1
+	var arena LineArena
+	arena.Reset(cfg.Lines())
+	used := NewCacheIn(cfg, &arena)
+	for a := uint64(0); a < 1<<16; a += 64 {
+		used.Access(a)
+	}
+	arena.Reset(cfg.Lines())
+	reused := NewCacheIn(cfg, &arena)
+	fresh := NewCache(cfg)
+	if !reflect.DeepEqual(reused.State(), fresh.State()) {
+		t.Fatal("a cache carved from a reset arena differs from a fresh one")
+	}
 }

@@ -28,8 +28,9 @@ type CacheState struct {
 	// Accesses and Misses are the lookup/miss counters.
 	Accesses uint64 `json:"accesses"`
 	Misses   uint64 `json:"misses"`
-	// Lines holds every line's bookkeeping, set-major, lineStateBytes each
-	// (JSON-encodes as base64 — the L2 image dominates a checkpoint's size).
+	// Lines holds every line's bookkeeping, set-major, lineStateBytes each.
+	// The L2 image dominates a checkpoint's size, so ckpt's snapshot codec
+	// stores both images raw, outside the JSON it uses for the other fields.
 	Lines []byte `json:"lines"`
 }
 

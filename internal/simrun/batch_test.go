@@ -5,8 +5,10 @@
 package simrun_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -251,5 +253,71 @@ func TestBatchSharesStoreCheckpoints(t *testing.T) {
 			t.Error("second batch did not resume from the store")
 		}
 		assertSameResult(t, "restore", out.Result, outs[i].Result)
+	}
+}
+
+// TestBatchArenaReuse runs heterogeneous lane groups back to back in one
+// process, so later groups are built on slabs recycled from earlier ones —
+// larger and smaller than they need — and checks every lane against a
+// fresh scalar run. A slab handed out without being cleared would leak one
+// group's calendars, rings, lines or store records into the next. The last
+// group skips the warm-up, so its caches start from the recycled line
+// slab rather than from a restored image.
+func TestBatchArenaReuse(t *testing.T) {
+	contended4 := func(c *config.Config) {
+		c.NumEpochs = 4
+		c.NoC = config.NoCContended
+	}
+	cold := func(c *config.Config) {
+		contended4(c)
+		c.WarmupInsts = 0
+	}
+	group := func(bench string, base func(*config.Config), k int) []simrun.Point {
+		points := make([]simrun.Point, k)
+		for i := range points {
+			ax := laneAxes[i]
+			points[i] = lanePoint(bench, 1, func(c *config.Config) {
+				if base != nil {
+					base(c)
+				}
+				if ax.mut != nil {
+					ax.mut(c)
+				}
+				if i%2 == 1 {
+					c.Place = config.PlaceLeastLoaded
+				}
+			})
+		}
+		return points
+	}
+	groups := [][]simrun.Point{
+		group("gcc", contended4, 8),
+		group("mcf", nil, 4),
+		group("equake", cold, 8),
+	}
+	want := make([][]*cpu.Result, len(groups))
+	for g, points := range groups {
+		for _, p := range points {
+			want[g] = append(want[g], scalarResult(t, p))
+		}
+	}
+	// A collection between groups may empty the slab pool; keep it off so
+	// every group after the first really runs on recycled slabs.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for g, points := range groups {
+		outs, err := simrun.RunBatch(nil, points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, out := range outs {
+			label := fmt.Sprintf("group %d lane %d (%s)", g, i, laneAxes[i].name)
+			if out.Err != nil {
+				t.Fatalf("%s: %v", label, out.Err)
+			}
+			if !out.Batched {
+				t.Errorf("%s ran scalar", label)
+			}
+			assertSameResult(t, label, out.Result, want[g][i])
+		}
 	}
 }

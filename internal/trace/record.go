@@ -128,13 +128,18 @@ func decodeRecord(buf []byte, out *isa.Inst, prevAddr uint64) ([]byte, uint64, e
 	return buf, prevAddr, nil
 }
 
+// canonicalBytes is the size of one record's canonical digest form.
+const canonicalBytes = 17
+
 // foldRecord feeds the record's canonical form into the content digest. The
 // canonical form is independent of block size and wire encoding, so the
 // digest identifies the instruction stream itself, not its storage layout.
-func foldRecord(h hash.Hash, in *isa.Inst) {
-	var b [17]byte
+// b is caller-owned scratch: a local array handed to hash.Hash.Write would
+// escape to the heap once per record.
+func foldRecord(h hash.Hash, b *[canonicalBytes]byte, in *isa.Inst) {
 	b[0] = uint8(in.Op)
 	b[1] = in.Size
+	b[2] = 0
 	if in.Taken {
 		b[2] |= 1
 	}

@@ -34,6 +34,7 @@ type Recorder struct {
 	prevAddr     uint64 // address-delta base (reset per block)
 	count        uint64 // records written overall
 	digest       hash.Hash
+	canon        [canonicalBytes]byte // foldRecord scratch
 	fw           *flate.Writer
 	comp         bytes.Buffer
 	err          error
@@ -161,7 +162,7 @@ func (r *Recorder) record(in *isa.Inst) {
 	if r.err != nil {
 		return
 	}
-	foldRecord(r.digest, in)
+	foldRecord(r.digest, &r.canon, in)
 	r.count++
 	r.blockCount++
 	if r.blockCount == r.blockRecords {

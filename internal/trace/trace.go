@@ -365,6 +365,7 @@ func (t *Trace) Verify() error {
 		h := sha256.New()
 		foldHeader(h, &t.meta)
 		buf := make([]isa.Inst, 0, t.meta.BlockRecords)
+		var canon [canonicalBytes]byte
 		for i := range t.blocks {
 			var err error
 			if buf, err = t.decodeBlock(i, buf[:0]); err != nil {
@@ -372,7 +373,7 @@ func (t *Trace) Verify() error {
 				return
 			}
 			for j := range buf {
-				foldRecord(h, &buf[j])
+				foldRecord(h, &canon, &buf[j])
 			}
 		}
 		if got := hex.EncodeToString(h.Sum(nil)[:16]); got != t.meta.Digest {

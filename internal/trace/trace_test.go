@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -420,4 +421,49 @@ func TestBlockCacheBounded(t *testing.T) {
 	if len(recs) != blockRecords || recs[0].Seq != 0 {
 		t.Fatalf("re-decoded block 0 wrong: %d records, first seq %d", len(recs), recs[0].Seq)
 	}
+}
+
+// TestDigestAllocFree pins that folding records into the content digest
+// allocates nothing per record, on both the recording and the verifying
+// side. Per-block work (compression, block buffers) may allocate, so each
+// side is measured at two block sizes with the same block count and the
+// allocation difference is divided by the difference in records.
+func TestDigestAllocFree(t *testing.T) {
+	const blocks = 4
+	small, large := 256, 2048
+	perRecord := func(name string, allocs func(blockRecords int) float64) {
+		t.Helper()
+		a, b := allocs(small), allocs(large)
+		if got := (b - a) / float64(blocks*(large-small)); got > 0.01 {
+			t.Errorf("%s: %.3f allocs per record (%.0f allocs at %d records/block, %.0f at %d)",
+				name, got, a, small, b, large)
+		}
+	}
+	prof, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRecord("record", func(blockRecords int) float64 {
+		rec, err := newRecorder(io.Discard, prof.New(1), blockRecords)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first block sizes the reusable buffers; measure the rest.
+		if err := rec.Record(uint64(blockRecords)); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if err := rec.Record(uint64(blocks * blockRecords)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+	perRecord("verify", func(blockRecords int) float64 {
+		data := record(t, "gcc", 1, uint64(blocks*blockRecords), blockRecords)
+		return testing.AllocsPerRun(3, func() {
+			if err := mustOpen(t, data).Verify(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
 }
