@@ -46,11 +46,12 @@ func main() {
 	flag.Parse()
 
 	opts := fleet.Options{LeaseTTL: *lease, MaxAttempts: *maxAttempts}
-	var err error
 	if *cacheDir != "" {
-		if opts.Results, err = sweep.NewDiskCache(*cacheDir); err != nil {
+		cache, err := sweep.NewDiskCache(*cacheDir)
+		if err != nil {
 			fatalf("%v", err)
 		}
+		opts.Results = cache.Disk
 	}
 	if *ckptDir != "" {
 		budget, err := config.ParseSize(*ckptMax)
@@ -63,7 +64,9 @@ func main() {
 	} else {
 		opts.Ckpts = ckpt.NewMemStore()
 	}
-	if opts.Traces, err = fleet.NewTraceStore(*traceDir); err != nil {
+	var traces int
+	var err error
+	if opts.Traces, traces, err = fleet.OpenTraces(*traceDir); err != nil {
 		fatalf("%v", err)
 	}
 
@@ -85,7 +88,7 @@ func main() {
 	}()
 
 	log.Printf("elsqserve: listening on %s (lease %v, %d traces indexed)",
-		*addr, *lease, co.Traces().Len())
+		*addr, *lease, traces)
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fatalf("%v", err)
 	}

@@ -58,7 +58,7 @@ func main() {
 	w := &fleet.Worker{
 		Client:   client,
 		Name:     *name,
-		Ckpts:    fleet.LayeredCkpts(local, client.CkptStore()),
+		Ckpts:    local,
 		TraceDir: *traceDir,
 		Poll:     *poll,
 		OnEvent:  func(s string) { log.Print(s) },

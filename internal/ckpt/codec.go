@@ -7,7 +7,7 @@ import (
 	"fmt"
 )
 
-// The binary snapshot encoding shared by DiskStore and the fleet's
+// The binary snapshot encoding of every Store, on disk and in the fleet's
 // checkpoint blob space:
 //
 //	magic                 8 bytes, codecMagic

@@ -11,13 +11,11 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ckpt"
+	"repro/internal/blob"
 	"repro/internal/cpu"
 	"repro/internal/sweep"
 	"repro/internal/trace"
@@ -344,12 +342,22 @@ func (c *Client) BlobPut(ctx context.Context, space, key string, body []byte) er
 	return err
 }
 
+// Blobs returns the coordinator's blob space as a blob.Store whose
+// transfers ctx bounds. Every fetch is digest-verified by BlobGet.
+func (c *Client) Blobs(ctx context.Context, space string) *blob.Remote {
+	return blob.NewRemote(ctx, c, space)
+}
+
 // FetchTrace downloads the trace with the given content digest into dir
 // (as <digest>.elt), verifying both the transfer (body sha256) and the
 // content (full .elt verification against the digest) before the file is
-// used. An existing verified copy is reused.
+// written. An existing copy that opens as the trace is reused.
 func (c *Client) FetchTrace(ctx context.Context, digest, dir string) (string, error) {
-	path := filepath.Join(dir, digest+".elt")
+	local, err := blob.OpenDisk(dir, traceSuffix, 0)
+	if err != nil {
+		return "", fmt.Errorf("fleet: trace dir: %w", err)
+	}
+	path := local.Path(digest)
 	if t, err := trace.Cached(path); err == nil && t.Meta().Digest == digest {
 		return path, nil
 	}
@@ -357,128 +365,11 @@ func (c *Client) FetchTrace(ctx context.Context, digest, dir string) (string, er
 	if err != nil {
 		return "", fmt.Errorf("fleet: fetching trace %s: %w", digest, err)
 	}
-	t, err := trace.New(b)
-	if err != nil {
-		return "", fmt.Errorf("fleet: fetched trace %s: %w", digest, err)
-	}
-	if err := t.Verify(); err != nil {
-		return "", fmt.Errorf("fleet: fetched trace %s: %w", digest, err)
-	}
-	if got := t.Meta().Digest; got != digest {
-		return "", fmt.Errorf("fleet: fetched trace digests to %s, wanted %s", got, digest)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := checkTrace(digest, b); err != nil {
 		return "", err
 	}
-	tmp, err := os.CreateTemp(dir, digest+".tmp-*")
-	if err != nil {
-		return "", err
-	}
-	_, werr := tmp.Write(b)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("fleet: writing fetched trace: %v", werr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return "", err
+	if err := local.Put(digest, b); err != nil {
+		return "", fmt.Errorf("fleet: storing fetched trace: %w", err)
 	}
 	return path, nil
-}
-
-// ResultCache adapts the coordinator's result blob space to sweep.Cache:
-// a remote, digest-verified drop-in for the local Mem/Disk caches.
-func (c *Client) ResultCache() *RemoteCache { return &RemoteCache{c: c} }
-
-// CkptStore adapts the coordinator's checkpoint blob space to ckpt.Store:
-// workers fetch warm-up snapshots by content key and push ones they build.
-func (c *Client) CkptStore() *RemoteCkpts { return &RemoteCkpts{c: c} }
-
-// RemoteCache is a sweep.Cache backed by a coordinator's result space.
-// Like every sweep.Cache it treats problems as misses (Get) or no-ops
-// (Put): remote flakiness slows a sweep down, never corrupts it.
-type RemoteCache struct {
-	c *Client
-}
-
-// Get implements sweep.Cache.
-func (rc *RemoteCache) Get(key string) (*cpu.Result, bool) {
-	b, err := rc.c.BlobGet(context.Background(), SpaceResult, key)
-	if err != nil {
-		return nil, false
-	}
-	var r cpu.Result
-	if json.Unmarshal(b, &r) != nil || !validResult(&r) {
-		return nil, false
-	}
-	return &r, true
-}
-
-// Put implements sweep.Cache.
-func (rc *RemoteCache) Put(key string, r *cpu.Result) {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return
-	}
-	_ = rc.c.BlobPut(context.Background(), SpaceResult, key, b)
-}
-
-// RemoteCkpts is a ckpt.Store backed by a coordinator's checkpoint space.
-type RemoteCkpts struct {
-	c *Client
-}
-
-// Get implements ckpt.Store. The transfer is digest-verified by the blob
-// layer and the snapshot re-checked for structural integrity; any problem
-// is a miss, and the caller rebuilds the warm-up locally.
-func (rs *RemoteCkpts) Get(key string) (*ckpt.Snapshot, bool) {
-	b, err := rs.c.BlobGet(context.Background(), SpaceCkpt, key)
-	if err != nil {
-		return nil, false
-	}
-	snap, err := ckpt.Decode(b)
-	if err != nil || snap.Key != key {
-		return nil, false
-	}
-	return snap, true
-}
-
-// Put implements ckpt.Store.
-func (rs *RemoteCkpts) Put(snap *ckpt.Snapshot) {
-	b, err := ckpt.Encode(snap)
-	if err != nil {
-		return
-	}
-	_ = rs.c.BlobPut(context.Background(), SpaceCkpt, snap.Key, b)
-}
-
-// LayeredCkpts stacks a fast local checkpoint store over a remote one:
-// Get prefers local and back-fills it from remote hits; Put writes
-// through to both. This is what lets one worker's warm-up build serve the
-// whole fleet while repeat resumes on the same worker stay in memory.
-func LayeredCkpts(local, remote ckpt.Store) ckpt.Store {
-	return &layeredCkpts{local: local, remote: remote}
-}
-
-type layeredCkpts struct {
-	local, remote ckpt.Store
-}
-
-// Get implements ckpt.Store.
-func (l *layeredCkpts) Get(key string) (*ckpt.Snapshot, bool) {
-	if snap, ok := l.local.Get(key); ok {
-		return snap, true
-	}
-	if snap, ok := l.remote.Get(key); ok {
-		l.local.Put(snap)
-		return snap, true
-	}
-	return nil, false
-}
-
-// Put implements ckpt.Store.
-func (l *layeredCkpts) Put(snap *ckpt.Snapshot) {
-	l.local.Put(snap)
-	l.remote.Put(snap)
 }

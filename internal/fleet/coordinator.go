@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/blob"
 	"repro/internal/ckpt"
 	"repro/internal/cpu"
 	"repro/internal/sweep"
@@ -74,15 +75,17 @@ type sweepRun struct {
 
 // Options configures a Coordinator.
 type Options struct {
-	// Results is the authoritative result store; nil defaults to an
-	// in-memory cache. Results must outlive the sweeps that reference
-	// them (the service pairs the coordinator with a persistent
-	// sweep.DiskCache for exactly this reason).
-	Results sweep.Cache
+	// Results is the authoritative result store, holding each result's
+	// JSON under its job key; nil defaults to an in-memory store. Results
+	// must outlive the sweeps that reference them (the service pairs the
+	// coordinator with a persistent sweep.DiskCache for exactly this
+	// reason).
+	Results blob.Store
 	// Ckpts backs the checkpoint blob space; nil disables it.
 	Ckpts ckpt.Store
-	// Traces backs the trace blob space; nil disables it.
-	Traces *TraceStore
+	// Traces backs the trace blob space (see OpenTraces); nil disables
+	// it.
+	Traces blob.Store
 	// LeaseTTL and MaxAttempts override the defaults when positive.
 	LeaseTTL    time.Duration
 	MaxAttempts int
@@ -96,9 +99,10 @@ type Options struct {
 // are safe for concurrent use. It performs no I/O of its own beyond the
 // injected stores and owns no goroutines; Server drives lease expiry.
 type Coordinator struct {
+	// blobs holds the store behind each enabled blob space, fixed at
+	// construction; results reads and writes the result space's JSON.
+	blobs       map[string]blob.Store
 	results     sweep.Cache
-	ckpts       ckpt.Store
-	traces      *TraceStore
 	leaseTTL    time.Duration
 	maxAttempts int
 	now         func() time.Time
@@ -118,10 +122,12 @@ type Coordinator struct {
 
 // NewCoordinator builds a coordinator from opts.
 func NewCoordinator(opts Options) *Coordinator {
+	if opts.Results == nil {
+		opts.Results = blob.NewMem()
+	}
 	c := &Coordinator{
-		results:     opts.Results,
-		ckpts:       opts.Ckpts,
-		traces:      opts.Traces,
+		results:     sweep.Over(opts.Results),
+		blobs:       map[string]blob.Store{SpaceResult: opts.Results},
 		leaseTTL:    opts.LeaseTTL,
 		maxAttempts: opts.MaxAttempts,
 		now:         opts.Now,
@@ -130,8 +136,11 @@ func NewCoordinator(opts Options) *Coordinator {
 		sweeps:      make(map[string]*sweepRun),
 		watch:       make(chan struct{}),
 	}
-	if c.results == nil {
-		c.results = sweep.NewMemCache()
+	if opts.Ckpts != nil {
+		c.blobs[SpaceCkpt] = opts.Ckpts.Blobs()
+	}
+	if opts.Traces != nil {
+		c.blobs[SpaceTrace] = opts.Traces
 	}
 	if c.leaseTTL <= 0 {
 		c.leaseTTL = DefaultLeaseTTL
@@ -309,7 +318,7 @@ func (c *Coordinator) Renew(key, lease string) (RenewResponse, error) {
 // somewhere; the first result is kept and ErrConflict returned. duplicate
 // reports an idempotent re-upload.
 func (c *Coordinator) Complete(key, lease string, r *cpu.Result) (duplicate bool, err error) {
-	if !validResult(r) {
+	if !sweep.ValidResult(r) {
 		return false, fmt.Errorf("fleet: complete %s: implausible result", key)
 	}
 	digest := sweep.ResultDigest(r)
@@ -585,21 +594,13 @@ func (c *Coordinator) Stats() CoordStats {
 	return s
 }
 
-// GetResult serves the result blob space.
-func (c *Coordinator) GetResult(key string) (*cpu.Result, bool) {
-	return c.results.Get(key)
-}
-
 // PutResult primes the result blob space (an anonymous, lease-less
 // completion: if a task for the key is queued or leased it resolves, and
-// waiting sweeps observe it).
+// waiting sweeps observe it). Complete rejects an implausible result.
 func (c *Coordinator) PutResult(key string, r *cpu.Result) error {
 	_, err := c.Complete(key, "", r)
 	if err == ErrNotFound {
 		// No task wants it; cache it anyway.
-		if !validResult(r) {
-			return fmt.Errorf("fleet: put result %s: implausible result", key)
-		}
 		c.results.Put(key, r)
 		c.mu.Lock()
 		if _, ok := c.done[key]; !ok {
@@ -610,11 +611,3 @@ func (c *Coordinator) PutResult(key string, r *cpu.Result) error {
 	}
 	return err
 }
-
-// Ckpts exposes the checkpoint store backing the ckpt blob space (nil when
-// the space is disabled).
-func (c *Coordinator) Ckpts() ckpt.Store { return c.ckpts }
-
-// Traces exposes the trace store backing the trace blob space (nil when
-// the space is disabled).
-func (c *Coordinator) Traces() *TraceStore { return c.traces }

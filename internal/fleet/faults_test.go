@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blob"
 	"repro/internal/config"
 	"repro/internal/sweep"
 )
@@ -126,10 +127,7 @@ func TestWorkerDeathLeaseExpiryRedispatch(t *testing.T) {
 func TestCorruptBlobFetchDetected(t *testing.T) {
 	cfg := config.Default().WithBudget(1_500, 3_000)
 	_, raw, digest := recordTestTrace(t, &cfg, "gzip", 1)
-	ts, err := NewTraceStore("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := blob.NewMem()
 	if err := ts.Put(digest, raw); err != nil {
 		t.Fatal(err)
 	}

@@ -3,23 +3,25 @@
 // sweep.Runner job model: a coordinator accepts config points, serves
 // already-computed results straight from the sweep cache, queues misses
 // onto a work-stealing job queue with lease expiry and at-least-once
-// re-dispatch, and exposes a content-addressed blob store (results by job
-// key, warm-up checkpoints by ckpt.Key, traces by .elt content digest)
-// that workers fetch from and push to with end-to-end digest verification.
+// re-dispatch, and exposes three content-addressed blob spaces (results by
+// job key, warm-up checkpoints by ckpt.Key, traces by .elt content digest),
+// each a blob.Store, that workers fetch from and push to with end-to-end
+// digest verification.
 //
 // The pieces:
 //
 //   - Coordinator is the in-process state machine: job queue, lease table,
-//     sweep bookkeeping, result/checkpoint/trace stores. It has no HTTP in
-//     it and is exercised directly by the race tests.
+//     sweep bookkeeping and the blob store behind each space. It has no
+//     HTTP in it and is exercised directly by the race tests.
 //   - Server wraps a Coordinator in the versioned JSON API ("/v1/...").
+//     A blob GET serves the stored bytes as they are; a PUT stores the
+//     uploaded bytes once the space's codec accepts them.
 //   - Client speaks that API with capped exponential backoff and verifies
-//     the sha256 body digest of every blob fetch; it adapts the remote
-//     stores to the local interfaces (sweep.Cache, ckpt.Store).
+//     the sha256 body digest of every blob fetch; Client.Blobs exposes a
+//     blob space as a blob.Remote, which the typed edges (ckpt.Over,
+//     sweep.Over) read and write like any local store.
 //   - Worker leases jobs, runs them through an unchanged local
 //     sweep.Runner, heartbeats its leases, and uploads results.
-//   - FaultTransport injects transport failures (drops, delays, duplicated
-//     deliveries, corrupted bodies) for the fault-injection test harness.
 //
 // Correctness story: every artifact is content-addressed, the simulator is
 // deterministic, and results are compared by sweep.ResultsDigest — so a
@@ -254,12 +256,4 @@ type CoordStats struct {
 	Conflicts  int `json:"conflicts"`
 	Expired    int `json:"expired"`
 	Rejected   int `json:"rejected"`
-}
-
-// validResult mirrors the sweep.DiskCache sanity gate: a result that
-// parses but cannot be a real simulation outcome is rejected rather than
-// poisoning the result store.
-func validResult(r *cpu.Result) bool {
-	return r != nil && r.Counters != nil && r.LoadDist != nil && r.StoreDist != nil &&
-		r.Committed != 0 && r.Bench != ""
 }

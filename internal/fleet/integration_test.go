@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blob"
 	"repro/internal/ckpt"
 	"repro/internal/config"
 	"repro/internal/sweep"
@@ -153,10 +154,7 @@ func TestTraceFetchByDigest(t *testing.T) {
 	localCfg.TraceDigest = digest
 	local, localDigest := runLocal(t, []sweep.Job{{Config: localCfg, Bench: prof, Seed: 1}})
 
-	ts, err := NewTraceStore("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := blob.NewMem()
 	if err := ts.Put(digest, raw); err != nil {
 		t.Fatal(err)
 	}

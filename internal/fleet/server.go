@@ -11,9 +11,9 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/blob"
 	"repro/internal/ckpt"
 	"repro/internal/cpu"
-	"repro/internal/sweep"
 )
 
 // maxBodyBytes bounds any request body the server will read: results and
@@ -119,8 +119,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
+	writeBody(w, status, "application/json", b)
+}
+
+// writeBody writes b with its digest in DigestHeader.
+func writeBody(w http.ResponseWriter, status int, contentType string, b []byte) {
 	sum := sha256.Sum256(b)
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", contentType)
 	w.Header().Set(DigestHeader, hex.EncodeToString(sum[:]))
 	w.WriteHeader(status)
 	w.Write(b)
@@ -304,117 +309,70 @@ func (s *Server) rejected(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), http.StatusBadRequest)
 }
 
+// uploadChecks holds, per blob space, the check an upload must pass before
+// its bytes are stored as they came. The result space instead goes through
+// Coordinator.PutResult, which also resolves any task waiting on the key.
+var uploadChecks = map[string]func(key string, b []byte) error{
+	SpaceCkpt: func(key string, b []byte) error {
+		// Content addressing: the snapshot must identify as the key it is
+		// stored under, or fetch-by-key would serve the wrong warm-up.
+		_, err := ckpt.DecodeKey(key, b)
+		return err
+	},
+	SpaceTrace: checkTrace,
+}
+
+// blobStore returns the store behind an enabled blob space, answering 404
+// for an unknown or disabled one.
+func (s *Server) blobStore(w http.ResponseWriter, space string) (blob.Store, bool) {
+	store, ok := s.co.blobs[space]
+	if !ok {
+		http.Error(w, "unknown or disabled blob space "+space, http.StatusNotFound)
+	}
+	return store, ok
+}
+
+// handleBlobGet serves the stored bytes as they are; every decoding edge
+// re-checks what it reads.
 func (s *Server) handleBlobGet(w http.ResponseWriter, r *http.Request) {
 	space, key := r.PathValue("space"), r.PathValue("key")
-	var body []byte
-	switch space {
-	case SpaceResult:
-		res, ok := s.co.GetResult(key)
-		if !ok {
-			http.Error(w, "no result "+key, http.StatusNotFound)
-			return
-		}
-		b, err := json.Marshal(res)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		body = b
-	case SpaceCkpt:
-		store := s.co.Ckpts()
-		if store == nil {
-			http.Error(w, "checkpoint space disabled", http.StatusNotFound)
-			return
-		}
-		snap, ok := store.Get(key)
-		if !ok {
-			http.Error(w, "no checkpoint "+key, http.StatusNotFound)
-			return
-		}
-		b, err := ckpt.Encode(snap)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		body = b
-	case SpaceTrace:
-		store := s.co.Traces()
-		if store == nil {
-			http.Error(w, "trace space disabled", http.StatusNotFound)
-			return
-		}
-		b, ok := store.Get(key)
-		if !ok {
-			http.Error(w, "no trace "+key, http.StatusNotFound)
-			return
-		}
-		body = b
-	default:
-		http.Error(w, "unknown blob space "+space, http.StatusNotFound)
+	store, ok := s.blobStore(w, space)
+	if !ok {
 		return
 	}
-	sum := sha256.Sum256(body)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(DigestHeader, hex.EncodeToString(sum[:]))
-	w.Write(body)
+	body, ok := store.Get(key)
+	if !ok {
+		http.Error(w, "no "+space+" "+key, http.StatusNotFound)
+		return
+	}
+	writeBody(w, http.StatusOK, "application/octet-stream", body)
 }
 
 func (s *Server) handleBlobPut(w http.ResponseWriter, r *http.Request) {
 	space, key := r.PathValue("space"), r.PathValue("key")
+	store, ok := s.blobStore(w, space)
+	if !ok {
+		return
+	}
 	body, err := readBody(r)
 	if err != nil {
 		s.rejected(w, err)
 		return
 	}
-	switch space {
-	case SpaceResult:
+	if space == SpaceResult {
 		var res cpu.Result
-		if err := json.Unmarshal(body, &res); err != nil {
-			httpErr(w, fmt.Errorf("decoding result: %w", err))
+		if err = json.Unmarshal(body, &res); err == nil {
+			err = s.co.PutResult(key, &res)
+		}
+	} else if err = uploadChecks[space](key, body); err == nil {
+		if err = store.Put(key, body); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		if err := s.co.PutResult(key, &res); err != nil {
-			httpErr(w, err)
-			return
-		}
-	case SpaceCkpt:
-		store := s.co.Ckpts()
-		if store == nil {
-			http.Error(w, "checkpoint space disabled", http.StatusNotFound)
-			return
-		}
-		snap, err := ckpt.Decode(body)
-		if err != nil {
-			httpErr(w, fmt.Errorf("decoding checkpoint: %w", err))
-			return
-		}
-		// Content addressing: the snapshot must identify as the key it is
-		// stored under, or fetch-by-key would serve the wrong warm-up.
-		if snap.Key != key {
-			httpErr(w, fmt.Errorf("checkpoint identifies as %s, uploaded under %s", snap.Key, key))
-			return
-		}
-		store.Put(snap)
-	case SpaceTrace:
-		store := s.co.Traces()
-		if store == nil {
-			http.Error(w, "trace space disabled", http.StatusNotFound)
-			return
-		}
-		if err := store.Put(key, body); err != nil {
-			httpErr(w, err)
-			return
-		}
-	default:
-		http.Error(w, "unknown blob space "+space, http.StatusNotFound)
+	}
+	if err != nil {
+		httpErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, struct{}{})
 }
-
-// Interface checks: the client-side remote stores must slot into the local
-// engines unchanged.
-var (
-	_ sweep.Cache = (*RemoteCache)(nil)
-	_ ckpt.Store  = (*RemoteCkpts)(nil)
-)

@@ -2,120 +2,80 @@ package fleet
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
-	"sync"
 
+	"repro/internal/blob"
 	"repro/internal/trace"
 )
 
-// TraceStore is the content-addressed .elt store behind the trace blob
-// space: traces keyed by their trace.Meta().Digest. With a directory it
-// persists (and indexes whatever *.elt files are already there, so
-// elsqserve -tracedir serves an existing elsqtrace recording tree);
-// without one it holds bytes in memory. Safe for concurrent use.
-type TraceStore struct {
-	dir string
+// traceSuffix names the files of an on-disk trace space: <digest>.elt.
+const traceSuffix = ".elt"
 
-	mu   sync.RWMutex
-	path map[string]string // digest -> file path
-	mem  map[string][]byte // digest -> raw bytes (dirless store)
-}
-
-// NewTraceStore opens a trace store. dir == "" keeps traces in memory;
-// otherwise the directory is created if needed and every existing .elt
-// file in it is indexed by content digest.
-func NewTraceStore(dir string) (*TraceStore, error) {
-	s := &TraceStore{dir: dir, path: make(map[string]string), mem: make(map[string][]byte)}
-	if dir == "" {
-		return s, nil
+// checkTrace is the trace space's validity check: b must decode to a
+// well-formed trace whose content digest is exactly digest. A corrupted or
+// mislabelled trace is rejected, never stored or used.
+func checkTrace(digest string, b []byte) error {
+	t, err := trace.New(b)
+	if err == nil {
+		err = t.Verify()
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("fleet: trace dir: %w", err)
-	}
-	des, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: trace dir: %w", err)
-	}
-	for _, de := range des {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), ".elt") {
-			continue
-		}
-		p := filepath.Join(dir, de.Name())
-		t, err := trace.Open(p)
-		if err != nil {
-			continue // foreign or damaged file; not served
-		}
-		s.path[t.Meta().Digest] = p
-	}
-	return s, nil
-}
-
-// Len reports the number of indexed traces.
-func (s *TraceStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.path) + len(s.mem)
-}
-
-// Get returns the raw .elt bytes for digest.
-func (s *TraceStore) Get(digest string) ([]byte, bool) {
-	s.mu.RLock()
-	p, onDisk := s.path[digest]
-	b, inMem := s.mem[digest]
-	s.mu.RUnlock()
-	if inMem {
-		return b, true
-	}
-	if !onDisk {
-		return nil, false
-	}
-	b, err := os.ReadFile(p)
-	if err != nil {
-		return nil, false
-	}
-	return b, true
-}
-
-// Put stores .elt bytes under digest after verifying that they decode to a
-// well-formed trace whose content digest is exactly the claimed one — a
-// corrupted or mislabelled upload is rejected, never stored.
-func (s *TraceStore) Put(digest string, b []byte) error {
-	t, err := trace.New(append([]byte(nil), b...))
-	if err != nil {
-		return fmt.Errorf("fleet: trace %s: %w", digest, err)
-	}
-	if err := t.Verify(); err != nil {
 		return fmt.Errorf("fleet: trace %s: %w", digest, err)
 	}
 	if got := t.Meta().Digest; got != digest {
-		return fmt.Errorf("fleet: trace upload claims digest %s but content digests to %s", digest, got)
+		return fmt.Errorf("fleet: trace claims digest %s but content digests to %s", digest, got)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dir == "" {
-		s.mem[digest] = append([]byte(nil), b...)
-		return nil
-	}
-	if _, ok := s.path[digest]; ok {
-		return nil // content-addressed: an existing entry is identical
-	}
-	p := filepath.Join(s.dir, digest+".elt")
-	tmp, err := os.CreateTemp(s.dir, digest+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("fleet: trace store: %w", err)
-	}
-	_, werr := tmp.Write(b)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("fleet: trace store: write failed")
-	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("fleet: trace store: %w", err)
-	}
-	s.path[digest] = p
 	return nil
+}
+
+// OpenTraces opens the store behind the trace blob space and reports how
+// many traces it serves. dir == "" keeps traces in memory. Otherwise the
+// directory is created if needed and uploads land in it as <digest>.elt;
+// every other .elt file already there that opens as a trace is served
+// under its content digest, so elsqserve -tracedir serves an existing
+// elsqtrace tree of <bench>-s<seed>.elt files.
+func OpenTraces(dir string) (blob.Store, int, error) {
+	if dir == "" {
+		return blob.NewMem(), 0, nil
+	}
+	d, err := blob.OpenDisk(dir, traceSuffix, 0)
+	if err != nil {
+		return nil, 0, fmt.Errorf("fleet: trace dir: %w", err)
+	}
+	entries, err := d.Entries()
+	if err != nil {
+		return nil, 0, fmt.Errorf("fleet: trace dir: %w", err)
+	}
+	s := traceDir{Disk: d, alias: make(map[string]string)}
+	n := 0
+	for _, e := range entries {
+		if t, err := trace.Open(d.Path(e.Key)); err == nil {
+			n++
+			if digest := t.Meta().Digest; digest != e.Key {
+				s.alias[digest] = e.Key
+			}
+		}
+	}
+	return s, n, nil
+}
+
+// traceDir is the on-disk trace store: a blob.Disk of <digest>.elt files,
+// plus an index, fixed at open, from content digest to the key of a file
+// named otherwise.
+type traceDir struct {
+	*blob.Disk
+	alias map[string]string
+}
+
+func (s traceDir) Get(digest string) ([]byte, bool) {
+	if key, ok := s.alias[digest]; ok {
+		digest = key
+	}
+	return s.Disk.Get(digest)
+}
+
+func (s traceDir) Put(digest string, b []byte) error {
+	if _, ok := s.alias[digest]; ok {
+		return nil // already served from a file named otherwise
+	}
+	return s.Disk.Put(digest, b)
 }

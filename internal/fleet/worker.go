@@ -7,6 +7,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/blob"
 	"repro/internal/ckpt"
 	"repro/internal/sweep"
 	"repro/internal/trace"
@@ -23,9 +24,8 @@ type Worker struct {
 	Client *Client
 	// Name identifies the worker in coordinator logs and stats.
 	Name string
-	// Ckpts is the warm-up checkpoint store for this worker's Runner; nil
-	// defaults to a local in-memory store layered over the coordinator's
-	// remote checkpoint space.
+	// Ckpts is this worker's local warm-up checkpoint store, layered over
+	// the coordinator's checkpoint space; nil keeps it in memory.
 	Ckpts ckpt.Store
 	// TraceDir is where traces fetched by digest land; "" uses a
 	// per-worker temporary directory.
@@ -36,7 +36,7 @@ type Worker struct {
 	// OnEvent, when non-nil, receives one log line per notable event.
 	OnEvent func(string)
 
-	ckpts ckpt.Store
+	ckpts ckpt.Store // Ckpts over the coordinator's space, set by Run
 }
 
 // logf emits a worker log line through OnEvent.
@@ -70,11 +70,14 @@ func (w *Worker) traceDir() (string, error) {
 // obtained at all just waits for the next poll. Run only returns ctx.Err().
 func (w *Worker) Run(ctx context.Context) error {
 	if w.ckpts == nil {
-		if w.Ckpts != nil {
-			w.ckpts = w.Ckpts
-		} else {
-			w.ckpts = LayeredCkpts(ckpt.NewMemStore(), w.Client.CkptStore())
+		local := w.Ckpts
+		if local == nil {
+			local = ckpt.NewMemStore()
 		}
+		w.ckpts = ckpt.Over(blob.Layered{
+			Local:  local.Blobs(),
+			Remote: w.Client.Blobs(context.Background(), SpaceCkpt),
+		})
 	}
 	for {
 		if ctx.Err() != nil {

@@ -149,9 +149,9 @@ func runGroup(ctx context.Context, points []Point, idx []int, outs []*Outcome) e
 	return nil
 }
 
-// resolveGroupSnapshot obtains the group's shared warm-up image: a store
-// hit when the point carries a store, otherwise a (single-flight) build.
-// The triggering lane's outcome records the build.
+// resolveGroupSnapshot obtains a warm-up image, for a batched group or a
+// scalar point: a store hit when the point carries a store, otherwise a
+// (single-flight) build that the store then keeps. out records the build.
 func resolveGroupSnapshot(p *Point, cfg *config.Config, prof workload.Profile, out *Outcome) (*ckpt.Snapshot, error) {
 	if p.Ckpt != nil {
 		if snap, ok := p.Ckpt.Get(ckpt.Key(cfg, p.Bench, p.Seed)); ok {

@@ -194,19 +194,9 @@ func (p *Point) resolveSnapshot(cfg *config.Config, prof workload.Profile, out *
 	if p.Ckpt == nil || cfg.WarmupInsts == 0 {
 		return nil, nil
 	}
-	key := ckpt.Key(cfg, p.Bench, p.Seed)
-	if snap, ok := p.Ckpt.Get(key); ok {
-		out.Resumed = true
-		return snap, nil
-	}
-	snap, err := buildShared(cfg, prof, p.Seed)
-	if err != nil {
-		return nil, err
-	}
-	p.Ckpt.Put(snap)
-	out.Resumed = true
-	out.CkptBuilt = true
-	return snap, nil
+	snap, err := resolveGroupSnapshot(p, cfg, prof, out)
+	out.Resumed = err == nil
+	return snap, err
 }
 
 // buildSim constructs the simulator for cfg, warm-started from snap when

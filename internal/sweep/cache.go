@@ -3,10 +3,9 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 
+	"repro/internal/blob"
 	"repro/internal/cpu"
 )
 
@@ -21,8 +20,47 @@ type Cache interface {
 	Put(key string, r *cpu.Result)
 }
 
-// MemCache is an in-process Cache. The zero value is not usable; call
-// NewMemCache.
+// ValidResult reports whether r can be a real simulation result. Every
+// edge that decodes a stored or uploaded result rejects one that parses but
+// fails this (a stale schema, a foreign file in a cache dir): a miss
+// re-simulates, a bad hit poisons artifacts.
+func ValidResult(r *cpu.Result) bool {
+	return r != nil && r.Counters != nil && r.LoadDist != nil && r.StoreDist != nil &&
+		r.Committed != 0 && r.Bench != ""
+}
+
+// get reads key's result from b: bytes that do not decode to a result
+// passing ValidResult are a miss.
+func get(b blob.Store, key string) (*cpu.Result, bool) {
+	raw, ok := b.Get(key)
+	if !ok {
+		return nil, false
+	}
+	var r cpu.Result
+	if json.Unmarshal(raw, &r) != nil || !ValidResult(&r) {
+		return nil, false
+	}
+	return &r, true
+}
+
+func put(b blob.Store, key string, r *cpu.Result) {
+	if raw, err := json.Marshal(r); err == nil {
+		_ = b.Put(key, raw) // a lost write costs a recompute, never a wrong result
+	}
+}
+
+// Over returns the Cache that keeps results as JSON in b, such as a fleet
+// coordinator's result store.
+func Over(b blob.Store) Cache { return over{b} }
+
+type over struct{ b blob.Store }
+
+func (c over) Get(key string) (*cpu.Result, bool) { return get(c.b, key) }
+func (c over) Put(key string, r *cpu.Result)      { put(c.b, key, r) }
+
+// MemCache is an in-process Cache of result pointers: a hit returns the
+// stored *cpu.Result itself, with no encoding either way. The zero value is
+// not usable; call NewMemCache.
 type MemCache struct {
 	mu sync.RWMutex
 	m  map[string]*cpu.Result
@@ -55,63 +93,22 @@ func (c *MemCache) Len() int {
 	return len(c.m)
 }
 
-// DiskCache persists results as one JSON file per job key, so sweeps cache
-// across processes (cmd/elsqsweep -cachedir). Corrupt or unreadable entries
-// are treated as misses.
-type DiskCache struct {
-	dir string
-}
+// DiskCache persists results as one <key>.json file per job key, so sweeps
+// cache across processes (cmd/elsqsweep -cachedir). Corrupt, unreadable or
+// implausible entries are misses.
+type DiskCache struct{ *blob.Disk }
 
 // NewDiskCache opens (creating if needed) a disk cache rooted at dir.
 func NewDiskCache(dir string) (*DiskCache, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	d, err := blob.OpenDisk(dir, ".json", 0)
+	if err != nil {
 		return nil, fmt.Errorf("sweep: cache dir: %w", err)
 	}
-	return &DiskCache{dir: dir}, nil
-}
-
-func (c *DiskCache) path(key string) string {
-	return filepath.Join(c.dir, key+".json")
+	return &DiskCache{d}, nil
 }
 
 // Get implements Cache.
-func (c *DiskCache) Get(key string) (*cpu.Result, bool) {
-	b, err := os.ReadFile(c.path(key))
-	if err != nil {
-		return nil, false
-	}
-	var r cpu.Result
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, false
-	}
-	// Reject entries that parse but cannot be real simulation results
-	// (stale schema, foreign files in the cache dir): a miss re-simulates,
-	// a bad hit poisons artifacts.
-	if r.Counters == nil || r.LoadDist == nil || r.StoreDist == nil ||
-		r.Committed == 0 || r.Bench == "" {
-		return nil, false
-	}
-	return &r, true
-}
+func (c *DiskCache) Get(key string) (*cpu.Result, bool) { return get(c.Disk, key) }
 
-// Put implements Cache. The write is atomic (temp file + rename) so a
-// concurrent reader never observes a partial entry.
-func (c *DiskCache) Put(key string, r *cpu.Result) {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(c.dir, key+".tmp-*")
-	if err != nil {
-		return
-	}
-	_, werr := tmp.Write(b)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
-		os.Remove(tmp.Name())
-	}
-}
+// Put implements Cache.
+func (c *DiskCache) Put(key string, r *cpu.Result) { put(c.Disk, key, r) }
